@@ -969,7 +969,10 @@ pub fn run_method_ml(
 /// no `improve` step to recurse with and are rejected. Returns the
 /// engine and the run-harness policy: `ml` routes `--threads` to the
 /// intra-run workers and keeps the runs sequential, exactly like the
-/// 2-way path.
+/// 2-way path. That worker count is the engine's
+/// [`Partitioner::intra_width`], which the driver spends on running
+/// sibling subtrees concurrently once `k ≥ 4` (each V-cycle then runs on
+/// one worker); the result is the same at every `--threads`.
 fn kway_engine(
     method: &str,
     seed: u64,

@@ -30,6 +30,18 @@
 //! under `k` changes in the sense that the root bisection of `k = 2`
 //! equals the plain bipartition at the same seed.
 //!
+//! **Subtree fan-out.** The two children of a recursion node are
+//! independent, so when the engine reports an
+//! [`intra_width`](Partitioner::intra_width) `w ≥ 2` and both children
+//! recurse further, they run at the same time: the left one on a scoped
+//! thread with `⌈w/2⌉` of the width, the right one on the calling thread
+//! with `⌊w/2⌋`. A drive that forks caps every engine call inside it at
+//! one intra worker ([`IntraCap`]); the cap changes no algorithm, only
+//! how wide each V-cycle runs. The seeds are path-keyed, each child
+//! fills its own part vector and the parent scatters both, passes are
+//! summed, and a failing left child's error wins, so the report is the
+//! sequential one bit for bit.
+//!
 //! **Cancellation.** The driver polls its [`CancelToken`] at recursion
 //! node boundaries (the engines poll it at pass boundaries). Once
 //! tripped, every remaining group is packed deterministically
@@ -39,11 +51,12 @@
 use crate::balance::BalanceConstraint;
 use crate::cancel::CancelToken;
 use crate::error::PartitionError;
-use crate::parallel::{ParallelPolicy, RunStatus};
+use crate::parallel::{IntraCap, ParallelPolicy, RunStatus};
 use crate::partition::{Bipartition, Side, SideWeights};
 use crate::partitioner::{ImproveStats, Partitioner};
 use crate::seed::salted_stream_seed;
 use prop_netlist::{Hypergraph, NetId, NodeId};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Stream-family salt of the per-recursion-node harness seeds (see
 /// [`crate::seed::salted_stream_seed`]); the index is the node's path.
@@ -69,8 +82,11 @@ pub struct KwayConfig {
     pub r1: f64,
     /// Upper balance ratio of each bisection (uniform mode).
     pub r2: f64,
-    /// Run-level fan-out policy handed to the 2-way harness. Results are
-    /// bit-identical for every policy.
+    /// Run-level fan-out policy handed to the 2-way harness at every
+    /// recursion node. Results are bit-identical for every policy.
+    /// Subtree fan-out is separate: its width is the engine's
+    /// [`Partitioner::intra_width`], so this stays `Sequential` for
+    /// engines that parallelise inside a run.
     pub policy: ParallelPolicy,
 }
 
@@ -310,24 +326,21 @@ pub fn partition_kway_cancellable<P: Partitioner + ?Sized>(
         }
     }
 
-    let mut assignment = vec![0u32; n];
-    let mut state = DriveState {
-        total_passes: 0,
-        cancelled: false,
-    };
-    let all: Vec<NodeId> = graph.nodes().collect();
-    drive(
+    // A drive that forks (the root's halves both recurse iff k ≥ 4) runs
+    // every engine call at one intra worker; see "Subtree fan-out" above.
+    let width = engine.intra_width();
+    let _cap = (width >= 2 && k >= 4).then(|| IntraCap::install(1));
+    let drive = Drive {
         graph,
         engine,
         config,
         token,
-        &all,
-        0,
-        k,
-        1,
-        &mut assignment,
-        &mut state,
-    )?;
+        total_passes: AtomicUsize::new(0),
+        cancelled: AtomicBool::new(false),
+    };
+    let all: Vec<NodeId> = graph.nodes().collect();
+    let mut assignment = vec![0u32; n];
+    drive.node(&all, 0, k, 1, width, &mut assignment)?;
 
     // Assemble per-part weights in node order (the oracle's order).
     let mut part_weights = vec![0.0; k];
@@ -350,218 +363,265 @@ pub fn partition_kway_cancellable<P: Partitioner + ?Sized>(
             k,
             part_weights,
         },
-        status: if state.cancelled {
+        status: if drive.cancelled.into_inner() {
             RunStatus::Cancelled
         } else {
             RunStatus::Completed
         },
-        total_passes: state.total_passes,
+        total_passes: drive.total_passes.into_inner(),
     })
 }
 
-/// Mutable bookkeeping threaded through the recursion.
-struct DriveState {
-    total_passes: usize,
+/// The recursion's shared inputs and bookkeeping; concurrent subtrees
+/// share it by reference.
+struct Drive<'a, P: ?Sized> {
+    graph: &'a Hypergraph,
+    engine: &'a P,
+    config: &'a KwayConfig,
+    token: &'a CancelToken,
+    /// Summed over every bisection; addition makes the order irrelevant.
+    total_passes: AtomicUsize,
     /// Sticky: set on the first tripped poll (or early-stopped engine
     /// report); every later group is packed instead of bisected.
-    cancelled: bool,
+    cancelled: AtomicBool,
 }
 
-/// One recursion node: bisect `nodes` into the part range
-/// `first .. first + k`, where `path` identifies the node in the
-/// recursion tree (root 1, children `2·path` / `2·path + 1`).
-#[allow(clippy::too_many_arguments)] // a flat recursion frame
-fn drive<P: Partitioner + ?Sized>(
-    graph: &Hypergraph,
-    engine: &P,
-    config: &KwayConfig,
-    token: &CancelToken,
-    nodes: &[NodeId],
-    first: u32,
-    k: usize,
-    path: u64,
-    assignment: &mut [u32],
-    state: &mut DriveState,
-) -> Result<(), PartitionError> {
-    if nodes.is_empty() {
-        return Ok(());
-    }
-    if k == 1 {
-        for &v in nodes {
-            assignment[v.index()] = first;
+impl<P: Partitioner + ?Sized> Drive<'_, P> {
+    /// One recursion node: assigns `nodes` to the part range
+    /// `first .. first + k`, writing `parts[i]` for `nodes[i]`. `path`
+    /// identifies the node in the recursion tree (root 1, children
+    /// `2·path` / `2·path + 1`); `width` is the thread budget of the
+    /// subtree.
+    ///
+    /// When `width ≥ 2` and both children recurse further, the left
+    /// child runs on a scoped thread with `⌈width/2⌉` and the right one
+    /// on this thread with `⌊width/2⌋`. Each child fills its own part
+    /// vector and this node scatters both, so the result does not depend
+    /// on which child finishes first; a failing left child's error wins,
+    /// as in sequential order.
+    fn node(
+        &self,
+        nodes: &[NodeId],
+        first: u32,
+        k: usize,
+        path: u64,
+        width: usize,
+        parts: &mut [u32],
+    ) -> Result<(), PartitionError> {
+        if nodes.is_empty() {
+            return Ok(());
         }
-        return Ok(());
-    }
-    if token.is_cancelled() {
-        state.cancelled = true;
-    }
-    let part_budgets = config
-        .budgets
-        .as_deref()
-        .map(|b| &b[first as usize..first as usize + k]);
-    if state.cancelled || nodes.len() <= 3 {
-        // Cancelled, or too small to bisect meaningfully: deterministic
-        // worst-fit-decreasing packing into the remaining parts.
-        pack_parts(graph, nodes, first, k, part_budgets, assignment);
-        return Ok(());
-    }
-
-    // The root works on `graph` directly: an induced subgraph of all
-    // nodes would drop single-pin nets and renumber nothing, silently
-    // breaking the k = 2 byte-identity with the plain bipartition path.
-    let root = path == 1 && nodes.len() == graph.num_nodes();
-    let (holder, back) = if root {
-        (None, nodes.to_vec())
-    } else {
-        let (s, b) = graph.induced_subgraph(nodes);
-        (Some(s), b)
-    };
-    let sub: &Hypergraph = holder.as_ref().unwrap_or(graph);
-
-    let k_left = k.div_ceil(2);
-    let k_right = k - k_left;
-    let node_seed = if path == 1 {
-        config.seed
-    } else {
-        salted_stream_seed(config.seed, KWAY_SEED_SALT, path)
-    };
-
-    let report;
-    let caps;
-    match part_budgets {
-        Some(budgets) => {
-            let (left_budgets, right_budgets) = budgets.split_at(k_left);
-            let b_left: f64 = left_budgets.iter().sum();
-            let b_right: f64 = right_budgets.iter().sum();
-            let w = sub.total_node_weight();
-            // Adaptive epsilon: spend the total budget slack σ evenly
-            // over the remaining ⌈log₂ k⌉ levels, so every level gets
-            // the same relative headroom and leaves still fit.
-            let depth = k.next_power_of_two().trailing_zeros().max(1);
-            let sigma = ((b_left + b_right) / w).max(1.0);
-            let widen = sigma.powf(1.0 / f64::from(depth));
-            let alpha = b_left / (b_left + b_right);
-            let cap_a = b_left.min((alpha * w * widen).max(w - b_right));
-            let cap_b = b_right.min(((1.0 - alpha) * w * widen).max(w - b_left));
-            let balance = BalanceConstraint::budgeted(cap_a, cap_b, sub)?;
-            // Random initial bisections target 50/50 and may start
-            // outside an asymmetric window; the shim deterministically
-            // repairs each start before the engine sees it.
-            let shim = Repaired { inner: engine };
-            report = shim.run_multi_cancellable(
-                sub,
-                balance,
-                config.runs,
-                node_seed,
-                config.policy,
-                token,
-            )?;
-            caps = Some((balance, cap_a, cap_b));
+        if k == 1 {
+            parts.fill(first);
+            return Ok(());
         }
-        None => {
-            // Uneven k: one branch receives ⌈k/2⌉ of the parts. The
-            // ratio window is symmetric, so it is widened to admit the
-            // ideal larger-side fraction, and after the split the
-            // heavier side is handed the larger part count.
-            let (r1_eff, r2_eff) = if k_left == k_right {
-                (config.r1, config.r2)
+        if self.token.is_cancelled() {
+            self.cancelled.store(true, Ordering::Relaxed);
+        }
+        if self.cancelled.load(Ordering::Relaxed) || nodes.len() <= 3 {
+            // Cancelled, or too small to bisect meaningfully: deterministic
+            // worst-fit-decreasing packing into the remaining parts.
+            pack_parts(self.graph, nodes, first, k, self.part_budgets(first, k), parts);
+            return Ok(());
+        }
+
+        let k_left = k.div_ceil(2);
+        let k_right = k - k_left;
+        let (left, right) = self.bisect(nodes, first, k, path)?;
+        let mut left_parts = vec![0u32; left.len()];
+        let mut right_parts = vec![0u32; right.len()];
+        let left_child = |w, out: &mut [u32]| self.node(&left, first, k_left, 2 * path, w, out);
+        let right_first = first + k_left as u32;
+        let right_child =
+            |w, out: &mut [u32]| self.node(&right, right_first, k_right, 2 * path + 1, w, out);
+        if width >= 2 && k_right >= 2 {
+            let (left_out, right_out) = std::thread::scope(|scope| {
+                let handle = scope.spawn(|| {
+                    let _cap = IntraCap::install(1);
+                    left_child(width.div_ceil(2), &mut left_parts)
+                });
+                let right_out = right_child(width / 2, &mut right_parts);
+                let left_out = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (left_out, right_out)
+            });
+            left_out?;
+            right_out?;
+        } else {
+            left_child(width, &mut left_parts)?;
+            right_child(width, &mut right_parts)?;
+        }
+        // Both children are order-preserving subsequences of `nodes`
+        // (which holds no duplicates), so one cursor per child scatters.
+        let (mut l, mut r) = (0, 0);
+        for (slot, v) in parts.iter_mut().zip(nodes) {
+            if left.get(l) == Some(v) {
+                *slot = left_parts[l];
+                l += 1;
             } else {
-                let target = k_left as f64 / k as f64;
-                let hi = config.r2.max(target + (config.r2 - config.r1) / 4.0).min(0.99);
-                ((1.0 - hi).max(0.01), hi)
-            };
-            let balance = BalanceConstraint::weighted(r1_eff, r2_eff, sub)?;
-            report = engine.run_multi_cancellable(
-                sub,
-                balance,
-                config.runs,
-                node_seed,
-                config.policy,
-                token,
-            )?;
-            caps = None;
+                *slot = right_parts[r];
+                r += 1;
+            }
         }
+        Ok(())
     }
-    state.total_passes += report.result.total_passes;
-    if report.status == RunStatus::Cancelled {
-        state.cancelled = true;
+
+    /// The budgets of the part range `first .. first + k`, if any.
+    fn part_budgets(&self, first: u32, k: usize) -> Option<&[f64]> {
+        self.config
+            .budgets
+            .as_deref()
+            .map(|b| &b[first as usize..first as usize + k])
     }
-    let mut partition = report.result.partition;
-    if let Some((balance, cap_a, cap_b)) = caps {
-        // A pre-trip fallback (token tripped before any run) skips
-        // `improve`, so the winner can still sit outside the caps;
-        // repair it the same way the shim repairs starts.
-        let counts = [partition.count(Side::A), partition.count(Side::B)];
-        let weights = SideWeights::new(sub, &partition).as_array();
-        if !balance.is_feasible(counts, weights) {
-            repair_into_window(sub, &mut partition, balance);
+
+    /// Bisects `nodes` for the part range `first .. first + k` and
+    /// returns the node lists of the left (`⌈k/2⌉` parts) and right
+    /// children, each in `nodes` order. The induced subgraph and the
+    /// partition are freed on return, before the children recurse.
+    fn bisect(
+        &self,
+        nodes: &[NodeId],
+        first: u32,
+        k: usize,
+        path: u64,
+    ) -> Result<(Vec<NodeId>, Vec<NodeId>), PartitionError> {
+        let (graph, engine, config, token) = (self.graph, self.engine, self.config, self.token);
+        // The root works on `graph` directly: an induced subgraph of all
+        // nodes would drop single-pin nets and renumber nothing, silently
+        // breaking the k = 2 byte-identity with the plain bipartition path.
+        // Either way, sub-node `i` is `nodes[i]`.
+        let root = path == 1 && nodes.len() == graph.num_nodes();
+        let holder = (!root).then(|| graph.induced_subgraph(nodes).0);
+        let sub: &Hypergraph = holder.as_ref().unwrap_or(graph);
+
+        let k_left = k.div_ceil(2);
+        let k_right = k - k_left;
+        let node_seed = if path == 1 {
+            config.seed
+        } else {
+            salted_stream_seed(config.seed, KWAY_SEED_SALT, path)
+        };
+
+        let report;
+        let caps;
+        match self.part_budgets(first, k) {
+            Some(budgets) => {
+                let (left_budgets, right_budgets) = budgets.split_at(k_left);
+                let b_left: f64 = left_budgets.iter().sum();
+                let b_right: f64 = right_budgets.iter().sum();
+                let w = sub.total_node_weight();
+                // Adaptive epsilon: spend the total budget slack σ evenly
+                // over the remaining ⌈log₂ k⌉ levels, so every level gets
+                // the same relative headroom and leaves still fit.
+                let depth = k.next_power_of_two().trailing_zeros().max(1);
+                let sigma = ((b_left + b_right) / w).max(1.0);
+                let widen = sigma.powf(1.0 / f64::from(depth));
+                let alpha = b_left / (b_left + b_right);
+                let cap_a = b_left.min((alpha * w * widen).max(w - b_right));
+                let cap_b = b_right.min(((1.0 - alpha) * w * widen).max(w - b_left));
+                let balance = BalanceConstraint::budgeted(cap_a, cap_b, sub)?;
+                // Random initial bisections target 50/50 and may start
+                // outside an asymmetric window; the shim deterministically
+                // repairs each start before the engine sees it.
+                let shim = Repaired { inner: engine };
+                report = shim.run_multi_cancellable(
+                    sub,
+                    balance,
+                    config.runs,
+                    node_seed,
+                    config.policy,
+                    token,
+                )?;
+                caps = Some((balance, cap_a, cap_b));
+            }
+            None => {
+                // Uneven k: one branch receives ⌈k/2⌉ of the parts. The
+                // ratio window is symmetric, so it is widened to admit the
+                // ideal larger-side fraction, and after the split the
+                // heavier side is handed the larger part count.
+                let (r1_eff, r2_eff) = if k_left == k_right {
+                    (config.r1, config.r2)
+                } else {
+                    let target = k_left as f64 / k as f64;
+                    let hi = config
+                        .r2
+                        .max(target + (config.r2 - config.r1) / 4.0)
+                        .min(0.99);
+                    ((1.0 - hi).max(0.01), hi)
+                };
+                let balance = BalanceConstraint::weighted(r1_eff, r2_eff, sub)?;
+                report = engine.run_multi_cancellable(
+                    sub,
+                    balance,
+                    config.runs,
+                    node_seed,
+                    config.policy,
+                    token,
+                )?;
+                caps = None;
+            }
+        }
+        self.total_passes
+            .fetch_add(report.result.total_passes, Ordering::Relaxed);
+        if report.status == RunStatus::Cancelled {
+            self.cancelled.store(true, Ordering::Relaxed);
+        }
+        let mut partition = report.result.partition;
+        if let Some((balance, cap_a, cap_b)) = caps {
+            // A pre-trip fallback (token tripped before any run) skips
+            // `improve`, so the winner can still sit outside the caps;
+            // repair it the same way the shim repairs starts.
             let counts = [partition.count(Side::A), partition.count(Side::B)];
             let weights = SideWeights::new(sub, &partition).as_array();
             if !balance.is_feasible(counts, weights) {
-                return Err(PartitionError::InfeasibleBudgets {
-                    message: format!(
-                        "no bisection fits the caps ({cap_a}, {cap_b}) at recursion path {path}"
-                    ),
-                });
+                repair_into_window(sub, &mut partition, balance);
+                let counts = [partition.count(Side::A), partition.count(Side::B)];
+                let weights = SideWeights::new(sub, &partition).as_array();
+                if !balance.is_feasible(counts, weights) {
+                    return Err(PartitionError::InfeasibleBudgets {
+                        message: format!(
+                            "no bisection fits the caps ({cap_a}, {cap_b}) at recursion path {path}"
+                        ),
+                    });
+                }
             }
         }
-    }
 
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    let mut weight = [0.0f64; 2];
-    for v in sub.nodes() {
-        weight[partition.side(v).index()] += sub.node_weight(v);
-        if partition.side(v) == Side::A {
-            left.push(back[v.index()]);
-        } else {
-            right.push(back[v.index()]);
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        let mut weight = [0.0f64; 2];
+        for v in sub.nodes() {
+            weight[partition.side(v).index()] += sub.node_weight(v);
+            if partition.side(v) == Side::A {
+                left.push(nodes[v.index()]);
+            } else {
+                right.push(nodes[v.index()]);
+            }
         }
+        // Budgeted halves are anchored to their part ranges (side A was
+        // capped by the left group's budgets); uniform uneven splits hand
+        // the heavier side the larger part count, as before.
+        if caps.is_none() && k_left != k_right && weight[1] > weight[0] {
+            std::mem::swap(&mut left, &mut right);
+        }
+        Ok((left, right))
     }
-    // Budgeted halves are anchored to their part ranges (side A was
-    // capped by the left group's budgets); uniform uneven splits hand
-    // the heavier side the larger part count, as before.
-    if caps.is_none() && k_left != k_right && weight[1] > weight[0] {
-        std::mem::swap(&mut left, &mut right);
-    }
-    drive(
-        graph,
-        engine,
-        config,
-        token,
-        &left,
-        first,
-        k_left,
-        2 * path,
-        assignment,
-        state,
-    )?;
-    drive(
-        graph,
-        engine,
-        config,
-        token,
-        &right,
-        first + k_left as u32,
-        k_right,
-        2 * path + 1,
-        assignment,
-        state,
-    )
 }
 
 /// Deterministic worst-fit-decreasing packing of `nodes` into the part
-/// range `first .. first + k`: nodes in (weight desc, id asc) order,
-/// each into the part with the most remaining capacity (ties to the
-/// lowest part). Capacities are the parts' budgets, or equal shares of
-/// the group weight in uniform mode.
+/// range `first .. first + k`, writing the part of `nodes[i]` into
+/// `parts[i]`: nodes in (weight desc, id asc) order, each into the part
+/// with the most remaining capacity (ties to the lowest part).
+/// Capacities are the parts' budgets, or equal shares of the group
+/// weight in uniform mode.
 fn pack_parts(
     graph: &Hypergraph,
     nodes: &[NodeId],
     first: u32,
     k: usize,
     budgets: Option<&[f64]>,
-    assignment: &mut [u32],
+    parts: &mut [u32],
 ) {
     let mut remaining: Vec<f64> = match budgets {
         Some(b) => b.to_vec(),
@@ -570,30 +630,28 @@ fn pack_parts(
             vec![w / k as f64; k]
         }
     };
-    let mut order: Vec<NodeId> = nodes.to_vec();
-    sort_by_weight_desc(graph, &mut order);
-    for v in order {
+    let mut order: Vec<usize> = (0..nodes.len()).collect();
+    order.sort_by(|&a, &b| by_weight_desc(graph, nodes[a], nodes[b]));
+    for i in order {
         let mut best = 0;
         for part in 1..k {
             if remaining[part] > remaining[best] {
                 best = part;
             }
         }
-        remaining[best] -= graph.node_weight(v);
-        assignment[v.index()] = first + best as u32;
+        remaining[best] -= graph.node_weight(nodes[i]);
+        parts[i] = first + best as u32;
     }
 }
 
-/// Sorts nodes by (weight descending, id ascending) — the deterministic
-/// order shared by the packing and repair passes.
-fn sort_by_weight_desc(graph: &Hypergraph, nodes: &mut [NodeId]) {
-    nodes.sort_by(|&a, &b| {
-        graph
-            .node_weight(b)
-            .partial_cmp(&graph.node_weight(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.index().cmp(&b.index()))
-    });
+/// The (weight descending, id ascending) node order shared by the
+/// packing and repair passes.
+fn by_weight_desc(graph: &Hypergraph, a: NodeId, b: NodeId) -> std::cmp::Ordering {
+    graph
+        .node_weight(b)
+        .partial_cmp(&graph.node_weight(a))
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| a.index().cmp(&b.index()))
 }
 
 /// Moves `partition` inside the committed caps of `balance` if it is
@@ -619,7 +677,7 @@ fn repair_into_window(graph: &Hypergraph, partition: &mut Bipartition, balance: 
     };
     let to = over.other().index();
     let mut movers: Vec<NodeId> = partition.nodes_on(over).collect();
-    sort_by_weight_desc(graph, &mut movers);
+    movers.sort_by(|&a, &b| by_weight_desc(graph, a, b));
     for v in movers {
         if weights[over.index()] <= caps[over.index()] + WEIGHT_EPS {
             break;
@@ -639,7 +697,7 @@ fn repair_into_window(graph: &Hypergraph, partition: &mut Bipartition, balance: 
     // Full repack: every node in (weight desc, id asc) order onto the
     // side with the most remaining capacity.
     let mut order: Vec<NodeId> = graph.nodes().collect();
-    sort_by_weight_desc(graph, &mut order);
+    order.sort_by(|&a, &b| by_weight_desc(graph, a, b));
     let mut packed = [0.0f64; 2];
     for v in order {
         let side = if caps[0] - packed[0] >= caps[1] - packed[1] {

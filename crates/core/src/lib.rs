@@ -72,7 +72,8 @@ pub use kway::{
     KwayReport,
 };
 pub use parallel::{
-    map_chunks, map_chunks_with, MultiRunReport, ParallelPolicy, RunBudget, RunStatus,
+    map_chunks, map_chunks_with, IntraCap, MultiRunReport, ParallelPolicy, RunBudget,
+    RunStatus,
 };
 pub use partition::{Bipartition, Side, SideWeights};
 pub use partitioner::{GlobalPartitioner, ImproveStats, Partitioner, RunResult};

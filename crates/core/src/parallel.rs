@@ -26,6 +26,8 @@ use crate::partition::Bipartition;
 use crate::partitioner::{Partitioner, RunResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -57,6 +59,52 @@ impl ParallelPolicy {
     }
 }
 
+thread_local! {
+    /// Upper bound on the workers [`map_chunks_with`] may start from this
+    /// thread; see [`IntraCap`].
+    static INTRA_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// RAII cap on this thread's intra-run workers.
+///
+/// While the guard lives, [`map_chunks_with`] on this thread uses at
+/// most `cap` workers whatever its policy says; dropping the guard
+/// restores the previous cap. The cap changes only how wide the fixed
+/// chunk grid is executed, never which algorithm a policy selects, so
+/// results stay bit-identical. A driver that already keeps the cores
+/// busy with independent work (the k-way driver's concurrent subtrees)
+/// installs cap 1 so each V-cycle inside it runs on its own thread only.
+/// Like the [`cancel`] slot it is per thread: a thread spawned under a
+/// cap starts uncapped.
+#[must_use = "the cap is lifted when the guard is dropped"]
+pub struct IntraCap {
+    previous: usize,
+    /// Restores a thread-local slot, so it must drop on the same thread.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl IntraCap {
+    /// Caps this thread's intra workers at `cap` (`0` is treated as `1`)
+    /// until the returned guard drops.
+    pub fn install(cap: usize) -> IntraCap {
+        IntraCap {
+            previous: INTRA_CAP.with(|c| c.replace(cap.max(1))),
+            _not_send: PhantomData,
+        }
+    }
+
+    /// The cap in force on this thread (`usize::MAX` when uncapped).
+    pub fn current() -> usize {
+        INTRA_CAP.with(Cell::get)
+    }
+}
+
+impl Drop for IntraCap {
+    fn drop(&mut self) {
+        INTRA_CAP.with(|c| c.set(self.previous));
+    }
+}
+
 /// Deterministic chunked map: the backbone of *intra-run* parallelism.
 ///
 /// Splits `0..n` into fixed-size chunks of `chunk` items — the chunk
@@ -72,9 +120,10 @@ impl ParallelPolicy {
 /// The scratch must not carry state *between* chunks that affects results
 /// — chunk assignment to workers is scheduling-dependent.
 ///
-/// With one worker (or one chunk) everything runs on the calling thread
-/// in chunk order with a single scratch, which also keeps the
-/// thread-local [`cancel`] and [`prof`](crate::prof) slots visible.
+/// The worker count is the policy's, bounded by this thread's
+/// [`IntraCap`]. With one worker (or one chunk) everything runs on the
+/// calling thread in chunk order with a single scratch, which also keeps
+/// the thread-local [`cancel`] and [`prof`](crate::prof) slots visible.
 pub fn map_chunks_with<S, T, F, I>(
     policy: ParallelPolicy,
     n: usize,
@@ -90,7 +139,7 @@ where
     let chunk = chunk.max(1);
     let chunks = n.div_ceil(chunk);
     let range_of = |c: usize| c * chunk..((c + 1) * chunk).min(n);
-    let workers = policy.worker_count(chunks);
+    let workers = policy.worker_count(chunks).min(IntraCap::current());
     if workers <= 1 {
         let mut scratch = init();
         return (0..chunks).map(|c| f(&mut scratch, c, range_of(c))).collect();
@@ -596,6 +645,35 @@ mod tests {
         );
         assert_eq!(seq, par);
         assert_eq!(seq.iter().sum::<u64>(), (0..100u64).sum());
+    }
+
+    #[test]
+    fn intra_cap_bounds_workers_and_restores() {
+        assert_eq!(IntraCap::current(), usize::MAX);
+        let threads_seen = |policy| {
+            map_chunks(policy, 64, 1, |_, _| std::thread::current().id())
+                .into_iter()
+                .collect::<std::collections::HashSet<_>>()
+        };
+        let me = std::thread::current().id();
+        {
+            let _outer = IntraCap::install(3);
+            {
+                let _inner = IntraCap::install(0);
+                assert_eq!(IntraCap::current(), 1);
+                // Capped at one worker: every chunk runs on this thread.
+                assert_eq!(
+                    threads_seen(ParallelPolicy::Threads(4)),
+                    [me].into_iter().collect()
+                );
+            }
+            assert_eq!(IntraCap::current(), 3);
+            // A spawned thread starts uncapped.
+            std::thread::scope(|s| {
+                s.spawn(|| assert_eq!(IntraCap::current(), usize::MAX));
+            });
+        }
+        assert_eq!(IntraCap::current(), usize::MAX);
     }
 
     #[test]

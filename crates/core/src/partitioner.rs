@@ -78,6 +78,15 @@ pub trait Partitioner: Sync {
         balance: BalanceConstraint,
     ) -> ImproveStats;
 
+    /// How many threads one [`improve`](Partitioner::improve) call may
+    /// keep busy: the width the recursive k-way driver may instead spend
+    /// on running sibling subtrees concurrently
+    /// ([`crate::kway`]). Engines without intra-run parallelism report 1
+    /// (the default), which keeps the driver sequential.
+    fn intra_width(&self) -> usize {
+        1
+    }
+
     /// Runs one improvement from a seeded random near-equal bisection.
     ///
     /// # Errors
@@ -252,5 +261,6 @@ mod tests {
         ]);
         let stats = boxed.improve(&g, &mut p, BalanceConstraint::bisection(6));
         assert_eq!(stats.passes, 1);
+        assert_eq!(boxed.intra_width(), 1);
     }
 }

@@ -1,6 +1,7 @@
 //! The Dinic max-flow solver and its self-verifying cut certificate.
 
 use prop_core::cancel;
+use std::cell::OnceCell;
 
 /// Residual capacities at or below this threshold count as saturated.
 /// Capacities are net weights (integral in practice — unit fine costs
@@ -42,38 +43,75 @@ pub struct MaxFlow {
 /// Arcs are stored as skew pairs: [`add_edge`](FlowNetwork::add_edge)
 /// appends the forward arc at an even index and its zero-capacity
 /// residual twin at the following odd index, so `e ^ 1` is always the
-/// reverse of `e`.
+/// reverse of `e`. The per-node arc lists are a flat CSR index built
+/// once, on the first query after the last edge was added.
 #[derive(Clone, Debug, Default)]
 pub struct FlowNetwork {
+    nodes: usize,
     to: Vec<u32>,
     /// Remaining residual capacity per arc.
     cap: Vec<f64>,
     /// Original capacity per arc (zero for residual twins).
     orig: Vec<f64>,
     /// Outgoing arc ids per node (forward arcs and residual twins).
-    adj: Vec<Vec<u32>>,
+    index: OnceCell<ArcIndex>,
+}
+
+/// Outgoing arcs per node in CSR form: node `v`'s arcs are
+/// `arcs[off[v]..off[v + 1]]`, in increasing arc id.
+#[derive(Clone, Debug)]
+struct ArcIndex {
+    off: Vec<u32>,
+    arcs: Vec<u32>,
+}
+
+impl ArcIndex {
+    /// Counting sort of the arc ids by tail (`to[e ^ 1]`). Arc ids are
+    /// visited in increasing order, so each node keeps its arcs in the
+    /// order they were added.
+    fn build(nodes: usize, to: &[u32]) -> ArcIndex {
+        let mut off = vec![0u32; nodes + 1];
+        for e in 0..to.len() {
+            off[to[e ^ 1] as usize + 1] += 1;
+        }
+        for v in 0..nodes {
+            off[v + 1] += off[v];
+        }
+        let mut next = off[..nodes].to_vec();
+        let mut arcs = vec![0u32; to.len()];
+        for e in 0..to.len() {
+            let tail = to[e ^ 1] as usize;
+            arcs[next[tail] as usize] = e as u32;
+            next[tail] += 1;
+        }
+        ArcIndex { off, arcs }
+    }
+
+    #[inline]
+    fn of(&self, v: usize) -> &[u32] {
+        &self.arcs[self.off[v] as usize..self.off[v + 1] as usize]
+    }
 }
 
 impl FlowNetwork {
     /// An empty network over `n` nodes.
     pub fn new(n: usize) -> Self {
         FlowNetwork {
-            to: Vec::new(),
-            cap: Vec::new(),
-            orig: Vec::new(),
-            adj: vec![Vec::new(); n],
+            nodes: n,
+            ..FlowNetwork::default()
         }
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.nodes
     }
 
     /// Appends an isolated node and returns its index.
     pub fn add_node(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
+        self.index.take();
+        self.nodes += 1;
+        self.nodes - 1
     }
 
     /// Number of directed arcs added via [`add_edge`](Self::add_edge).
@@ -88,18 +126,22 @@ impl FlowNetwork {
     /// Panics if an endpoint is out of range or the capacity is negative
     /// or NaN.
     pub fn add_edge(&mut self, u: usize, v: usize, cap: f64) -> usize {
-        assert!(u < self.adj.len() && v < self.adj.len(), "endpoint out of range");
+        assert!(u < self.nodes && v < self.nodes, "endpoint out of range");
         assert!(cap >= 0.0, "capacity must be non-negative and not NaN");
+        self.index.take();
         let id = self.to.len();
         self.to.push(v as u32);
         self.cap.push(cap);
         self.orig.push(cap);
-        self.adj[u].push(id as u32);
         self.to.push(u as u32);
         self.cap.push(0.0);
         self.orig.push(0.0);
-        self.adj[v].push(id as u32 + 1);
         id
+    }
+
+    /// The CSR arc index, built on first use.
+    fn index(&self) -> &ArcIndex {
+        self.index.get_or_init(|| ArcIndex::build(self.nodes, &self.to))
     }
 
     /// The forward arcs with their current flow assignment
@@ -133,32 +175,44 @@ impl FlowNetwork {
     pub fn max_flow(&mut self, s: usize, t: usize) -> Option<MaxFlow> {
         assert!(s < self.num_nodes() && t < self.num_nodes() && s != t);
         let n = self.num_nodes();
+        // Taken out while the residual capacities change, put back for
+        // the cut queries.
+        let index = self.index.take().unwrap_or_else(|| ArcIndex::build(n, &self.to));
         let mut level = vec![UNREACHED; n];
         let mut iter = vec![0u32; n];
         let mut queue = Vec::with_capacity(n);
-        let mut result = MaxFlow {
+        let mut flow = MaxFlow {
             value: 0.0,
             augments: 0,
             rounds: 0,
         };
-        loop {
+        let outcome = loop {
             if cancel::requested() {
-                return None;
+                break None;
             }
-            if !self.bfs_levels(s, t, &mut level, &mut queue) {
-                return Some(result);
+            if !self.bfs_levels(&index, s, t, &mut level, &mut queue) {
+                break Some(flow);
             }
-            result.rounds += 1;
+            flow.rounds += 1;
             iter.fill(0);
-            while let Some(pushed) = self.augment(s, t, &level, &mut iter) {
-                result.value += pushed;
-                result.augments += 1;
+            while let Some(pushed) = self.augment(&index, s, t, &level, &mut iter) {
+                flow.value += pushed;
+                flow.augments += 1;
             }
-        }
+        };
+        let _ = self.index.set(index);
+        outcome
     }
 
     /// Builds the residual level graph; `true` iff `t` is reachable.
-    fn bfs_levels(&self, s: usize, t: usize, level: &mut [u32], queue: &mut Vec<u32>) -> bool {
+    fn bfs_levels(
+        &self,
+        index: &ArcIndex,
+        s: usize,
+        t: usize,
+        level: &mut [u32],
+        queue: &mut Vec<u32>,
+    ) -> bool {
         level.fill(UNREACHED);
         level[s] = 0;
         queue.clear();
@@ -167,7 +221,7 @@ impl FlowNetwork {
         while head < queue.len() {
             let v = queue[head] as usize;
             head += 1;
-            for &e in &self.adj[v] {
+            for &e in index.of(v) {
                 let u = self.to[e as usize] as usize;
                 if self.cap[e as usize] > EPS && level[u] == UNREACHED {
                     level[u] = level[v] + 1;
@@ -182,7 +236,14 @@ impl FlowNetwork {
     /// per-node arc cursors), pushes its bottleneck, and returns it.
     /// Iterative — corridor networks can be deep enough to overflow a
     /// recursive DFS.
-    fn augment(&mut self, s: usize, t: usize, level: &[u32], iter: &mut [u32]) -> Option<f64> {
+    fn augment(
+        &mut self,
+        index: &ArcIndex,
+        s: usize,
+        t: usize,
+        level: &[u32],
+        iter: &mut [u32],
+    ) -> Option<f64> {
         let mut path: Vec<u32> = Vec::new();
         let mut v = s;
         loop {
@@ -198,9 +259,10 @@ impl FlowNetwork {
                 }
                 return Some(bottleneck);
             }
+            let arcs = index.of(v);
             let mut advanced = false;
-            while (iter[v] as usize) < self.adj[v].len() {
-                let e = self.adj[v][iter[v] as usize] as usize;
+            while (iter[v] as usize) < arcs.len() {
+                let e = arcs[iter[v] as usize] as usize;
                 let u = self.to[e] as usize;
                 if self.cap[e] > EPS && level[u] == level[v] + 1 {
                     path.push(e as u32);
@@ -222,6 +284,7 @@ impl FlowNetwork {
     /// residual graph. Call after [`max_flow`](Self::max_flow) returned
     /// `Some` — this is the *smallest* source side among all min cuts.
     pub fn min_cut_source_side(&self, s: usize) -> Vec<bool> {
+        let index = self.index();
         let mut side = vec![false; self.num_nodes()];
         let mut queue = vec![s as u32];
         side[s] = true;
@@ -229,7 +292,7 @@ impl FlowNetwork {
         while head < queue.len() {
             let v = queue[head] as usize;
             head += 1;
-            for &e in &self.adj[v] {
+            for &e in index.of(v) {
                 let u = self.to[e as usize] as usize;
                 if self.cap[e as usize] > EPS && !side[u] {
                     side[u] = true;
@@ -247,6 +310,7 @@ impl FlowNetwork {
     /// the lattice of min cuts, which is what the most-balanced-cut
     /// tie-break chooses between.
     pub fn min_cut_sink_side_complement(&self, t: usize) -> Vec<bool> {
+        let index = self.index();
         let mut reaches_t = vec![false; self.num_nodes()];
         let mut queue = vec![t as u32];
         reaches_t[t] = true;
@@ -255,7 +319,7 @@ impl FlowNetwork {
             let v = queue[head] as usize;
             head += 1;
             // u → v is residual iff the twin of an arc v → u has capacity.
-            for &e in &self.adj[v] {
+            for &e in index.of(v) {
                 let u = self.to[e as usize] as usize;
                 if self.cap[e as usize ^ 1] > EPS && !reaches_t[u] {
                     reaches_t[u] = true;

@@ -85,12 +85,12 @@ pub fn refine(
             break;
         };
         stats.corridors += 1;
-        let built = CorridorNetwork::build(graph, partition.sides(), &cut, &corridor);
+        let mut built = CorridorNetwork::build(graph, partition.sides(), &cut, &corridor);
         if built.free_nets == 0 {
             prof::count_flow_round(0, false);
             break;
         }
-        let mut network = built.network.clone();
+        let mut network = std::mem::take(&mut built.network);
         let Some(flow) = network.max_flow(built.source, built.sink) else {
             stats.cancelled = true;
             break;

@@ -601,6 +601,11 @@ impl<P: Partitioner> Partitioner for Multilevel<P> {
         "ML"
     }
 
+    /// The intra-run worker count of `config.intra`.
+    fn intra_width(&self) -> usize {
+        self.config.intra.worker_count(usize::MAX)
+    }
+
     /// Runs one V-cycle and installs its result when it improves (or
     /// matches) the incoming partition; otherwise the partition is left
     /// untouched. The V-cycle seed is derived from `config.seed` and a
@@ -850,6 +855,35 @@ mod tests {
             let got = engine(policy).run_multi(&graph, balance, 2, 9).unwrap();
             assert_eq!(got, baseline, "{policy:?}");
         }
+    }
+
+    #[test]
+    fn intra_cap_keeps_the_synchronous_vcycle() {
+        // A capped thread runs the intra engine on one worker: the same
+        // synchronous algorithm and output as uncapped, never the
+        // classic V-cycle that `Sequential` selects.
+        let graph = circuit(500, 34);
+        let balance = BalanceConstraint::new(0.45, 0.55, graph.num_nodes()).unwrap();
+        let engine = |intra| {
+            Multilevel::standard(MultilevelConfig {
+                intra,
+                seed: 2,
+                ..MultilevelConfig::default()
+            })
+        };
+        let two = engine(ParallelPolicy::Threads(2));
+        assert_eq!(two.intra_width(), 2);
+        assert_eq!(engine(ParallelPolicy::Sequential).intra_width(), 1);
+        let uncapped = two.run_multi(&graph, balance, 2, 4).unwrap();
+        let capped = {
+            let _cap = prop_core::IntraCap::install(1);
+            two.run_multi(&graph, balance, 2, 4).unwrap()
+        };
+        assert_eq!(capped, uncapped);
+        let classic = engine(ParallelPolicy::Sequential)
+            .run_multi(&graph, balance, 2, 4)
+            .unwrap();
+        assert_ne!(capped.partition, classic.partition);
     }
 
     #[test]

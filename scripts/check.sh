@@ -34,7 +34,11 @@
 #                                   # CLI k=4 sweep over the suite whose
 #                                   # parts/weights are sanity-checked and
 #                                   # whose budgeted rerun must respect the
-#                                   # caps, and a daemon round-trip whose
+#                                   # caps, a k=8 --ml-flow run on struct
+#                                   # and p2 whose result line and --assign
+#                                   # file must match between --threads 1
+#                                   # and 2 (subtree fan-out), and a daemon
+#                                   # round-trip whose
 #                                   # k=4 submit twice in a row must be
 #                                   # bit-identical (cut + connectivity +
 #                                   # part_weights + assignment_hash)
@@ -84,6 +88,11 @@ done
 cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
+# The gates below drive the `prop` CLI, which the root build above does
+# not rebuild.
+if (( ml + par + flow + io + cluster + kway )); then
+  cargo build --release -q -p prop-cli
+fi
 
 if [[ "$audit" -eq 1 ]]; then
   # Audited pass: every engine reports into the thread-local auditor slot
@@ -343,6 +352,24 @@ if [[ "$kway" -eq 1 ]]; then
       exit 1
     fi
     echo "check.sh: $circuit budgeted weights=$weights inside cap=$cap"
+  done
+
+  # Subtree fan-out: at --threads 2 the k=8 recursion runs sibling
+  # subtrees concurrently. The result line and the full assignment must
+  # equal the one-worker run exactly.
+  for circuit in struct p2; do
+    for threads in 1 2; do
+      ./target/release/prop partition "$kway_dir/$circuit.hgr" --method ml --ml-flow --k 8 \
+        --runs 2 --threads "$threads" --assign "$kway_dir/$circuit.t$threads.assign" \
+        | grep '^method=' > "$kway_dir/$circuit.t$threads.line"
+    done
+    if ! cmp -s "$kway_dir/$circuit.t1.line" "$kway_dir/$circuit.t2.line" \
+      || ! cmp -s "$kway_dir/$circuit.t1.assign" "$kway_dir/$circuit.t2.assign"; then
+      echo "check.sh: k=8 fan-out at --threads 2 diverged from --threads 1 on $circuit" >&2
+      cat "$kway_dir/$circuit.t1.line" "$kway_dir/$circuit.t2.line" >&2
+      exit 1
+    fi
+    echo "check.sh: $circuit k=8 --ml-flow identical at --threads 1 and 2: $(cat "$kway_dir/$circuit.t1.line")"
   done
 
   # The daemon surface: the same k=4 job submitted twice over the wire

@@ -3,19 +3,23 @@
 //! Acceptance is oracle-first: every objective and every per-part weight
 //! the driver reports must agree bit-for-bit with the from-scratch
 //! `prop-verify` k-way oracles, budgets must hold exactly, results must
-//! be bit-identical at every thread count, `k = 2` must collapse to the
-//! plain bipartition path, and cancellation mid-recursion must still
-//! yield a complete feasible assignment.
+//! be bit-identical at every thread count (including when sibling
+//! subtrees run concurrently), `k = 2` must collapse to the plain
+//! bipartition path, and cancellation mid-recursion must still yield a
+//! complete feasible assignment.
 
 use prop_core::{
-    partition_kway, partition_kway_cancellable, BalanceConstraint, CancelToken, KwayConfig,
-    ParallelPolicy, PartitionError, Partitioner, Prop, PropConfig, RunStatus, Side,
+    partition_kway, partition_kway_cancellable, BalanceConstraint, CancelToken, IntraCap,
+    KwayConfig, ParallelPolicy, PartitionError, Partitioner, Prop, PropConfig, RunStatus, Side,
 };
 use prop_multilevel::{MlRefiner, Multilevel, MultilevelConfig};
 use prop_netlist::generate::{generate, generate_adversarial, GeneratorConfig};
 use prop_netlist::Hypergraph;
 use prop_verify::kway as oracle;
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::Mutex;
+use std::thread::ThreadId;
 use std::time::Duration;
 
 fn circuit(n: usize, seed: u64) -> Hypergraph {
@@ -116,31 +120,139 @@ fn kway_is_bit_identical_across_run_harness_thread_counts() {
 
 #[test]
 fn multilevel_kway_is_bit_identical_across_intra_worker_counts() {
+    // Threads(1) never forks; every wider policy runs sibling subtrees
+    // concurrently once k ≥ 4, with each V-cycle capped at one worker.
     let graph = circuit(400, 24);
-    let reference = partition_kway(
-        &graph,
-        &ml(ParallelPolicy::Threads(1)),
-        &KwayConfig {
-            runs: 2,
-            seed: 3,
-            ..KwayConfig::new(4)
-        },
-    )
-    .unwrap();
-    assert_oracle_exact(&graph, &reference.partition, 4);
-    for workers in [2usize, 4] {
-        let report = partition_kway(
-            &graph,
-            &ml(ParallelPolicy::Threads(workers)),
-            &KwayConfig {
+    for k in [3usize, 4, 5, 8] {
+        // Alternating shares make the per-side caps asymmetric.
+        let shares: Vec<f64> = (0..k).map(|i| [2.0, 3.0][i % 2]).collect();
+        for budgets in [None, Some(feasible_budgets(&graph, &shares, 1.2))] {
+            let config = KwayConfig {
+                budgets: budgets.clone(),
                 runs: 2,
                 seed: 3,
-                ..KwayConfig::new(4)
-            },
-        )
-        .unwrap();
-        assert_eq!(report, reference, "intra workers = {workers}");
+                ..KwayConfig::new(k)
+            };
+            let reference =
+                partition_kway(&graph, &ml(ParallelPolicy::Threads(1)), &config).unwrap();
+            assert_oracle_exact(&graph, &reference.partition, k);
+            if let Some(budgets) = &budgets {
+                assert!(oracle::check_budgets(reference.partition.part_weights(), budgets));
+            }
+            for policy in [
+                ParallelPolicy::Threads(2),
+                ParallelPolicy::Threads(4),
+                ParallelPolicy::Auto,
+            ] {
+                let report = partition_kway(&graph, &ml(policy), &config).unwrap();
+                assert_eq!(report, reference, "{policy:?}, k = {k}, budgets = {budgets:?}");
+            }
+        }
     }
+}
+
+/// PROP reporting an intra width, so the driver fans out over it. Every
+/// `improve` call records its thread and the intra cap in force there.
+struct Wide {
+    width: usize,
+    calls: Mutex<Vec<(ThreadId, usize)>>,
+}
+
+impl Wide {
+    fn new(width: usize) -> Self {
+        Wide {
+            width,
+            calls: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn threads_and_caps(&self) -> (HashSet<ThreadId>, HashSet<usize>) {
+        let calls = self.calls.lock().unwrap();
+        (
+            calls.iter().map(|c| c.0).collect(),
+            calls.iter().map(|c| c.1).collect(),
+        )
+    }
+}
+
+impl Partitioner for Wide {
+    fn name(&self) -> &str {
+        "wide-PROP"
+    }
+
+    fn improve(
+        &self,
+        graph: &Hypergraph,
+        partition: &mut prop_core::Bipartition,
+        balance: BalanceConstraint,
+    ) -> prop_core::ImproveStats {
+        self.calls
+            .lock()
+            .unwrap()
+            .push((std::thread::current().id(), IntraCap::current()));
+        prop().improve(graph, partition, balance)
+    }
+
+    fn intra_width(&self) -> usize {
+        self.width
+    }
+}
+
+#[test]
+fn subtree_fan_out_runs_siblings_concurrently_with_capped_engines() {
+    let graph = circuit(300, 29);
+    let config = KwayConfig {
+        runs: 2,
+        seed: 8,
+        ..KwayConfig::new(4)
+    };
+    let sequential = Wide::new(1);
+    let reference = partition_kway(&graph, &sequential, &config).unwrap();
+    let (threads, caps) = sequential.threads_and_caps();
+    assert_eq!(threads.len(), 1);
+    assert_eq!(caps, HashSet::from([usize::MAX]));
+
+    let wide = Wide::new(2);
+    assert_eq!(partition_kway(&graph, &wide, &config).unwrap(), reference);
+    let (threads, caps) = wide.threads_and_caps();
+    assert_eq!(threads.len(), 2, "the left subtree runs on its own thread");
+    assert_eq!(caps, HashSet::from([1]), "every engine call of a forking drive is capped");
+
+    // k = 3: the right child is a leaf, so nothing forks and nothing is
+    // capped.
+    let wide = Wide::new(2);
+    partition_kway(&graph, &wide, &KwayConfig { k: 3, ..config }).unwrap();
+    let (threads, caps) = wide.threads_and_caps();
+    assert_eq!(threads.len(), 1);
+    assert_eq!(caps, HashSet::from([usize::MAX]));
+}
+
+#[test]
+fn a_panicking_subtree_propagates() {
+    /// Panics on the bisections below the root.
+    struct Fragile;
+    impl Partitioner for Fragile {
+        fn name(&self) -> &str {
+            "fragile"
+        }
+        fn improve(
+            &self,
+            graph: &Hypergraph,
+            partition: &mut prop_core::Bipartition,
+            balance: BalanceConstraint,
+        ) -> prop_core::ImproveStats {
+            assert!(graph.num_nodes() > 150, "subtree failure");
+            prop().improve(graph, partition, balance)
+        }
+        fn intra_width(&self) -> usize {
+            2
+        }
+    }
+    let graph = circuit(200, 30);
+    let outcome = std::panic::catch_unwind(|| {
+        partition_kway(&graph, &Fragile, &KwayConfig { runs: 1, ..KwayConfig::new(4) })
+    });
+    assert!(outcome.is_err());
 }
 
 #[test]
@@ -198,6 +310,26 @@ fn cancellation_mid_recursion_yields_a_complete_feasible_assignment() {
     let report = partition_kway_cancellable(&graph, &prop(), &config, &token).unwrap();
     // 60 runs × 7 bisections of an 800-node circuit dwarf a 20 ms
     // deadline, so the trip lands mid-recursion.
+    assert_eq!(report.status, RunStatus::Cancelled);
+    assert_oracle_exact(&graph, &report.partition, 8);
+    assert!(oracle::check_budgets(report.partition.part_weights(), &budgets));
+}
+
+#[test]
+fn cancellation_under_fan_out_yields_a_complete_feasible_assignment() {
+    let graph = circuit(800, 31);
+    let budgets = vec![220.0; 8];
+    let token = CancelToken::new();
+    token.set_timeout(Duration::from_millis(20));
+    let config = KwayConfig {
+        budgets: Some(budgets.clone()),
+        runs: 60,
+        seed: 2,
+        ..KwayConfig::new(8)
+    };
+    // Width 4: the root's children and all four grandchildren subtrees
+    // run concurrently when the deadline trips.
+    let report = partition_kway_cancellable(&graph, &Wide::new(4), &config, &token).unwrap();
     assert_eq!(report.status, RunStatus::Cancelled);
     assert_oracle_exact(&graph, &report.partition, 8);
     assert!(oracle::check_budgets(report.partition.part_weights(), &budgets));
@@ -334,6 +466,8 @@ proptest! {
         let k = k.min(graph.num_nodes());
         let config = KwayConfig { runs: 1, seed, ..KwayConfig::new(k) };
         let report = partition_kway(&graph, &prop(), &config).unwrap();
+        // Subtree fan-out never changes the result.
+        prop_assert_eq!(&partition_kway(&graph, &Wide::new(2), &config).unwrap(), &report);
         prop_assert_eq!(report.partition.len(), graph.num_nodes());
         prop_assert!(report.partition.assignment().iter().all(|&p| (p as usize) < k));
         prop_assert_eq!(
